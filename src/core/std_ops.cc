@@ -750,8 +750,15 @@ Operator Learner(const std::string& name, const LearnerConfig& config) {
     }
     return DataCollection::FromModel(std::move(model));
   };
-  return Operator(name, "Learner", config.Canonical(),
-                  Phase::kMachineLearning, std::move(fn));
+  Operator op(name, "Learner", config.Canonical(), Phase::kMachineLearning,
+              std::move(fn));
+  if (config.model_type == "lr") {
+    // v1: the O(nnz) scaled-weight SGD. Its L2 models differ from v0's
+    // eager-shrink models in the last bits, so a store or cost registry
+    // written by v0 must not serve them.
+    op.SetUdfVersion(1);
+  }
+  return op;
 }
 
 Operator Predictor(const std::string& name) {

@@ -11,6 +11,11 @@ namespace ml {
 
 namespace {
 
+// Below this weight scale the factored weights are folded back in, long
+// before `scale` (and the 1/scale in each update) leaves the normal double
+// range.
+constexpr double kMinScale = 1e-9;
+
 double Sigmoid(double z) {
   if (z >= 0) {
     double e = std::exp(-z);
@@ -39,15 +44,29 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
         "epochs and learning_rate must be positive");
   }
 
+  // The model is held as `scale * weights` (Bottou's "wscale" trick): the
+  // per-example L2 shrink multiplies `scale` alone, so a step touches only
+  // the example's non-zero features. `weights` absorbs `scale` in an
+  // O(dim) fold when it nears underflow and once at the end. With
+  // reg_param == 0, `scale` stays exactly 1.0 and every step matches the
+  // plain update bit for bit.
   std::vector<double> weights(static_cast<size_t>(data.num_features()), 0.0);
+  double scale = 1.0;
+  auto fold = [&weights, &scale] {
+    for (double& w : weights) {
+      w *= scale;
+    }
+    scale = 1.0;
+  };
   double bias = 0.0;
   Rng rng(opts.seed);
-  double final_loss = 0.0;
+  // Summed over the last epoch only: it is the one reported.
+  double loss = 0.0;
 
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
     rng.Shuffle(&train_idx);
     double lr = opts.learning_rate / (1.0 + opts.lr_decay * epoch);
-    double loss = 0.0;
+    bool last_epoch = epoch + 1 == opts.epochs;
     // Per-example L2 shrink scaled by 1/n keeps regularization strength
     // independent of dataset size.
     double shrink =
@@ -57,27 +76,28 @@ Result<std::shared_ptr<dataflow::ModelData>> TrainLogisticRegression(
     }
     for (size_t i : train_idx) {
       const dataflow::Example& e = data.example(static_cast<int64_t>(i));
-      double p = Sigmoid(e.features.Dot(weights) + bias);
+      double p = Sigmoid(scale * e.features.Dot(weights) + bias);
       double err = p - e.label;  // gradient of log-loss wrt score
-      if (shrink != 1.0) {
-        for (double& w : weights) {
-          w *= shrink;
-        }
+      scale *= shrink;
+      if (scale < kMinScale) {
+        fold();
       }
-      e.features.AddTo(&weights, -lr * err);
+      e.features.AddTo(&weights, -lr * err / scale);
       bias -= lr * err;
-      double clamped = std::min(std::max(p, 1e-12), 1.0 - 1e-12);
-      loss += e.label > 0.5 ? -std::log(clamped) : -std::log(1.0 - clamped);
+      if (last_epoch) {
+        double clamped = std::min(std::max(p, 1e-12), 1.0 - 1e-12);
+        loss += e.label > 0.5 ? -std::log(clamped) : -std::log(1.0 - clamped);
+      }
     }
-    final_loss = loss / static_cast<double>(train_idx.size());
   }
+  fold();
 
   // AddTo may have grown weights past num_features if indices were sparse;
   // clamp back to dictionary size for a canonical representation.
   weights.resize(static_cast<size_t>(data.num_features()), 0.0);
   auto model = std::make_shared<dataflow::ModelData>(
       "logistic_regression", std::move(weights), bias);
-  model->SetInfo("train_loss", final_loss);
+  model->SetInfo("train_loss", loss / static_cast<double>(train_idx.size()));
   model->SetInfo("epochs", opts.epochs);
   model->SetInfo("reg_param", opts.reg_param);
   model->SetInfo("num_train", static_cast<double>(train_idx.size()));

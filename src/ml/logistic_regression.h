@@ -1,4 +1,6 @@
 // L2-regularized logistic regression trained with mini-batch-free SGD.
+// Each step costs O(non-zeros of the example), not O(num_features): the
+// L2 shrink is applied lazily through a shared weight scale.
 //
 // This is the default `Learner` of the Census workflow (paper Figure 1a,
 // line 16: `new Learner(modelType, regParam=0.1)`). Training is

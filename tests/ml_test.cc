@@ -2,6 +2,7 @@
 // perceptron) and evaluation metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -150,6 +151,162 @@ TEST(LogisticRegressionTest, ProbabilityIsCalibratedShape) {
   EXPECT_NEAR(PredictProbability(model, off), 1.0 / (1.0 + std::exp(1.0)),
               1e-12);
   EXPECT_DOUBLE_EQ(PredictScore(model, on), 1.0);
+}
+
+// --- Logistic regression vs the eager-shrink reference ---------------------------
+
+double ReferenceSigmoid(double z) {
+  if (z >= 0) {
+    return 1.0 / (1.0 + std::exp(-z));
+  }
+  double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
+// The textbook SGD loop the trainer replaced: it multiplies every weight by
+// the L2 shrink factor once per example, O(num_features) per step. Kept
+// here as the reference the scaled-weight trainer is checked against.
+std::shared_ptr<dataflow::ModelData> TrainEagerReference(
+    const ExamplesData& data, const LogisticRegressionOptions& opts) {
+  std::vector<size_t> train_idx;
+  for (size_t i = 0; i < static_cast<size_t>(data.num_examples()); ++i) {
+    if (!data.example(static_cast<int64_t>(i)).is_test) {
+      train_idx.push_back(i);
+    }
+  }
+  std::vector<double> weights(static_cast<size_t>(data.num_features()), 0.0);
+  double bias = 0.0;
+  Rng rng(opts.seed);
+  double final_loss = 0.0;
+  for (int epoch = 0; epoch < opts.epochs; ++epoch) {
+    rng.Shuffle(&train_idx);
+    double lr = opts.learning_rate / (1.0 + opts.lr_decay * epoch);
+    double loss = 0.0;
+    double shrink =
+        1.0 - lr * opts.reg_param / static_cast<double>(train_idx.size());
+    if (shrink < 0.0) {
+      shrink = 0.0;
+    }
+    for (size_t i : train_idx) {
+      const Example& e = data.example(static_cast<int64_t>(i));
+      double p = ReferenceSigmoid(e.features.Dot(weights) + bias);
+      double err = p - e.label;
+      if (shrink != 1.0) {
+        for (double& w : weights) {
+          w *= shrink;
+        }
+      }
+      e.features.AddTo(&weights, -lr * err);
+      bias -= lr * err;
+      double clamped = std::min(std::max(p, 1e-12), 1.0 - 1e-12);
+      loss += e.label > 0.5 ? -std::log(clamped) : -std::log(1.0 - clamped);
+    }
+    final_loss = loss / static_cast<double>(train_idx.size());
+  }
+  weights.resize(static_cast<size_t>(data.num_features()), 0.0);
+  auto model = std::make_shared<dataflow::ModelData>(
+      "logistic_regression", std::move(weights), bias);
+  model->SetInfo("train_loss", final_loss);
+  model->SetInfo("epochs", opts.epochs);
+  model->SetInfo("reg_param", opts.reg_param);
+  model->SetInfo("num_train", static_cast<double>(train_idx.size()));
+  return model;
+}
+
+std::vector<bool> TestLabels(const dataflow::ModelData& model,
+                             const ExamplesData& data) {
+  std::vector<bool> labels;
+  for (int64_t i = 0; i < data.num_examples(); ++i) {
+    if (data.example(i).is_test) {
+      labels.push_back(PredictProbability(model, data.example(i).features) >=
+                       0.5);
+    }
+  }
+  return labels;
+}
+
+// How many times the trainer's weight scale falls below its fold threshold
+// during the first epoch (the shrink schedule alone decides it).
+int FoldsInFirstEpoch(const LogisticRegressionOptions& opts, int num_train) {
+  double shrink = 1.0 - opts.learning_rate * opts.reg_param / num_train;
+  double scale = 1.0;
+  int folds = 0;
+  for (int i = 0; i < num_train; ++i) {
+    scale *= shrink;
+    if (scale < 1e-9) {
+      scale = 1.0;
+      ++folds;
+    }
+  }
+  return folds;
+}
+
+TEST(LogisticRegressionTest, UnregularizedMatchesEagerReferenceBitForBit) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    auto data = MakePlantedData(300, 10, seed, 0.1);
+    LogisticRegressionOptions opts;
+    opts.reg_param = 0.0;
+    opts.seed = seed;
+    auto model = TrainLogisticRegression(*data, opts);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    auto reference = TrainEagerReference(*data, opts);
+    EXPECT_EQ(model.value()->Fingerprint(), reference->Fingerprint())
+        << "seed " << seed;
+    EXPECT_EQ(model.value()->InfoOr("train_loss", -1),
+              reference->InfoOr("train_loss", -2))
+        << "seed " << seed;
+  }
+}
+
+TEST(LogisticRegressionTest, RegularizedMatchesEagerReferenceClosely) {
+  // On 240 training rows reg 1000 folds the weight scale back several
+  // times per epoch, and reg 200 (the StrongRegularizationShrinksWeights
+  // shape) about once, so the comparison covers the folds too.
+  LogisticRegressionOptions strong;
+  strong.reg_param = 1000.0;
+  ASSERT_GE(FoldsInFirstEpoch(strong, 240), 3);
+  for (double reg_param : {0.1, 10.0, 200.0, 1000.0}) {
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      auto data = MakePlantedData(300, 10, seed, 0.1);
+      LogisticRegressionOptions opts;
+      opts.reg_param = reg_param;
+      opts.seed = seed;
+      auto model = TrainLogisticRegression(*data, opts);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      auto reference = TrainEagerReference(*data, opts);
+      const std::vector<double>& w = model.value()->weights();
+      const std::vector<double>& ref = reference->weights();
+      ASSERT_EQ(w.size(), ref.size());
+      for (size_t j = 0; j < w.size(); ++j) {
+        EXPECT_NEAR(w[j], ref[j], 1e-9 * std::abs(ref[j]))
+            << "reg " << reg_param << " seed " << seed << " weight " << j;
+      }
+      EXPECT_NEAR(model.value()->bias(), reference->bias(),
+                  1e-9 * std::abs(reference->bias()))
+          << "reg " << reg_param << " seed " << seed;
+      EXPECT_EQ(TestLabels(*model.value(), *data),
+                TestLabels(*reference, *data))
+          << "reg " << reg_param << " seed " << seed;
+    }
+  }
+}
+
+TEST(LogisticRegressionTest, ClampedShrinkMatchesEagerReferenceBitForBit) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    auto data = MakePlantedData(300, 10, seed, 0.1);
+    LogisticRegressionOptions opts;
+    // lr * reg / n >= 1 in every epoch: the shrink factor clamps to 0.
+    opts.reg_param = 1e6;
+    opts.seed = seed;
+    auto model = TrainLogisticRegression(*data, opts);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    auto reference = TrainEagerReference(*data, opts);
+    EXPECT_EQ(model.value()->Fingerprint(), reference->Fingerprint())
+        << "seed " << seed;
+    EXPECT_EQ(model.value()->InfoOr("train_loss", -1),
+              reference->InfoOr("train_loss", -2))
+        << "seed " << seed;
+  }
 }
 
 // --- Naive Bayes ----------------------------------------------------------------

@@ -269,6 +269,26 @@ TEST(StdOpsTest, LearnerConfigCanonicalDistinguishes) {
             ops::Learner("m", b).Signature());
 }
 
+// The lr trainer's body changed (scaled-weight SGD), so its Learner carries
+// UDF version 1: a store entry or cost record keyed by the old signature is
+// never served for it. The other model types keep their signatures.
+TEST(StdOpsTest, LearnerVersionsOnlyTheLrTrainer) {
+  for (const char* model_type : {"lr", "nb", "perceptron"}) {
+    ops::LearnerConfig config;
+    config.model_type = model_type;
+    Operator op = ops::Learner("m", config);
+    Operator unversioned("m", "Learner", config.Canonical(),
+                         Phase::kMachineLearning, OperatorFn());
+    if (config.model_type == "lr") {
+      EXPECT_EQ(op.udf_version(), 1);
+      EXPECT_NE(op.Signature(), unversioned.Signature());
+    } else {
+      EXPECT_EQ(op.udf_version(), 0) << model_type;
+      EXPECT_EQ(op.Signature(), unversioned.Signature()) << model_type;
+    }
+  }
+}
+
 TEST(StdOpsTest, PredictorEmitsAllRowsWithSplits) {
   ops::LearnerConfig config;
   config.epochs = 10;
